@@ -28,6 +28,15 @@
 //! owning shard's lock; opens take `master` and then touch shards one at
 //! a time; whole-registry reads (snapshot/trace/metrics) take `master`
 //! followed by every shard in index order.
+//!
+//! **Incremental snapshot encoding.** Each slot keeps the session's last
+//! encoded snapshot piece beside its state.
+//! [`ShardedRegistry::encode_snapshot`] re-encodes only the slots whose
+//! piece is missing and copies every other piece as it is, so a snapshot
+//! costs the sessions changed since the last one plus a copy. The only
+//! `&mut SessionState` paths — select and absorb — drop the piece before
+//! mutating; open inserts slots without one and evict removes the slot,
+//! so no piece can outlive the state it encodes.
 
 use crate::pool::Pool;
 use crate::round::RoundConfig;
@@ -40,6 +49,7 @@ use crate::system::{assemble_trace, EntitySeries, ExperimentTrace};
 use crate::CoreError;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
 
@@ -49,8 +59,29 @@ struct Master {
     next_index: u64,
 }
 
+/// One session's slot: its state and, once a snapshot has encoded it,
+/// that encoding (`{"session":N,"snapshot":{…}}`). `piece` is `None`
+/// whenever `state` may differ from what it says.
+struct Slot {
+    state: SessionState,
+    piece: Option<Box<str>>,
+}
+
+impl Slot {
+    fn new(state: SessionState) -> Slot {
+        Slot { state, piece: None }
+    }
+
+    /// The session state for mutation: the cached piece goes stale, so
+    /// it is dropped first.
+    fn state_mut(&mut self) -> &mut SessionState {
+        self.piece = None;
+        &mut self.state
+    }
+}
+
 /// One shard: the sessions whose id hashes here.
-type Shard = BTreeMap<u64, SessionState>;
+type Shard = BTreeMap<u64, Slot>;
 
 /// A session registry striped over N locks. See the module docs for the
 /// determinism contract and lock hierarchy.
@@ -149,7 +180,7 @@ impl ShardedRegistry {
                 utility: state.utility(),
                 entropy: state.entropy(),
             });
-            lock(self.shard_of(id)).insert(id, state);
+            lock(self.shard_of(id)).insert(id, Slot::new(state));
         }
         Ok(opened)
     }
@@ -175,6 +206,7 @@ impl ShardedRegistry {
         shard
             .get_mut(&session)
             .ok_or(CoreError::UnknownSession { session })?
+            .state_mut()
             .select_capped(selector, cap)
     }
 
@@ -184,6 +216,7 @@ impl ShardedRegistry {
         shard
             .get_mut(&session)
             .ok_or(CoreError::UnknownSession { session })?
+            .state_mut()
             .absorb(answers)
     }
 
@@ -192,6 +225,7 @@ impl ShardedRegistry {
     pub fn evict(&self, session: u64) -> Result<SessionState, CoreError> {
         lock(self.shard_of(session))
             .remove(&session)
+            .map(|slot| slot.state)
             .ok_or(CoreError::UnknownSession { session })
     }
 
@@ -204,7 +238,7 @@ impl ShardedRegistry {
         let shard = lock(self.shard_of(session));
         shard
             .get(&session)
-            .map(f)
+            .map(|slot| f(&slot.state))
             .ok_or(CoreError::UnknownSession { session })
     }
 
@@ -235,7 +269,11 @@ impl ShardedRegistry {
         let mut series: Vec<(u64, EntitySeries)> = Vec::new();
         for shard in &self.shards {
             let shard = lock(shard);
-            series.extend(shard.iter().map(|(&id, s)| (id, s.series().clone())));
+            series.extend(
+                shard
+                    .iter()
+                    .map(|(&id, slot)| (id, slot.state.series().clone())),
+            );
         }
         series.sort_by_key(|(id, _)| *id);
         let series: Vec<EntitySeries> = series.into_iter().map(|(_, s)| s).collect();
@@ -250,7 +288,8 @@ impl ShardedRegistry {
         let mut rows: Vec<(u64, Counters)> = Vec::new();
         for shard in &self.shards {
             let shard = lock(shard);
-            rows.extend(shard.iter().map(|(&id, s)| {
+            rows.extend(shard.iter().map(|(&id, slot)| {
+                let s = &slot.state;
                 (
                     id,
                     (
@@ -291,9 +330,9 @@ impl ShardedRegistry {
         let mut sessions: Vec<NumberedSnapshot> = Vec::new();
         for shard in &self.shards {
             let shard = lock(shard);
-            sessions.extend(shard.iter().map(|(&session, state)| NumberedSnapshot {
+            sessions.extend(shard.iter().map(|(&session, slot)| NumberedSnapshot {
                 session,
-                snapshot: state.snapshot(),
+                snapshot: slot.state.snapshot(),
             }));
         }
         sessions.sort_by_key(|n| n.session);
@@ -303,6 +342,85 @@ impl ShardedRegistry {
             defaults: self.defaults,
             sessions,
         }
+    }
+
+    /// Encodes [`ShardedRegistry::snapshot`] as `head`, then the bytes
+    /// `encode` gives for it, then `tail`, in one exactly sized buffer.
+    ///
+    /// `encode` must be the compact JSON encoder; taking it as an argument
+    /// keeps this crate free of a JSON dependency. Each session is encoded
+    /// on its own as `{"session":N,"snapshot":{…}}` and the piece is kept
+    /// in its slot: only sessions changed since the previous call are
+    /// re-encoded, every other piece is copied as it is.
+    ///
+    /// Missing pieces are first encoded one shard lock at a time, so
+    /// filling a cold cache never holds every shard; the document is then
+    /// assembled under `master` and every shard (in index order),
+    /// re-encoding whatever changed in between.
+    pub fn encode_snapshot(
+        &self,
+        head: &str,
+        tail: &str,
+        encode: impl Fn(&dyn Serialize) -> String,
+    ) -> String {
+        let fill = |shard: &mut Shard| {
+            for (&session, slot) in shard.iter_mut() {
+                if slot.piece.is_none() {
+                    let numbered = NumberedSnapshot {
+                        session,
+                        snapshot: slot.state.snapshot(),
+                    };
+                    slot.piece = Some(encode(&numbered).into_boxed_str());
+                }
+            }
+        };
+        for shard in &self.shards {
+            fill(&mut lock(shard));
+        }
+        let master = lock(&self.master);
+        let mut shards: Vec<MutexGuard<'_, Shard>> = self.shards.iter().map(lock).collect();
+        for shard in &mut shards {
+            fill(shard);
+        }
+        let frame = encode(&RegistrySnapshot {
+            master_state: master.rng.state(),
+            next_index: master.next_index,
+            defaults: self.defaults,
+            sessions: Vec::new(),
+        });
+        // `{…,"sessions":[]}`: the pieces go between the brackets.
+        let open = frame
+            .strip_suffix("]}")
+            .expect("the snapshot encoder writes compact JSON");
+        let mut pieces: Vec<(u64, &str)> = shards
+            .iter()
+            .flat_map(|shard| {
+                shard
+                    .iter()
+                    .map(|(&id, slot)| (id, slot.piece.as_deref().expect("encoded above")))
+            })
+            .collect();
+        pieces.sort_unstable_by_key(|&(id, _)| id);
+        let commas = pieces.len().saturating_sub(1);
+        let len = head.len()
+            + open.len()
+            + pieces.iter().map(|(_, piece)| piece.len()).sum::<usize>()
+            + commas
+            + "]}".len()
+            + tail.len();
+        let mut out = String::with_capacity(len);
+        out.push_str(head);
+        out.push_str(open);
+        for (i, (_, piece)) in pieces.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(piece);
+        }
+        out.push_str("]}");
+        out.push_str(tail);
+        debug_assert_eq!(out.len(), len);
+        out
     }
 
     /// Rebuilds a registry from a snapshot, striping sessions over
@@ -321,7 +439,7 @@ impl ShardedRegistry {
         }
         for numbered in snap.sessions {
             let state = SessionState::from_snapshot(numbered.snapshot)?;
-            lock(registry.shard_of(numbered.session)).insert(numbered.session, state);
+            lock(registry.shard_of(numbered.session)).insert(numbered.session, Slot::new(state));
         }
         Ok(registry)
     }
@@ -422,6 +540,119 @@ mod tests {
             .open_batch(vec![specs()[0].clone()], None)
             .unwrap();
         assert_eq!(more_a, more_b);
+    }
+
+    fn json(value: &dyn Serialize) -> String {
+        serde_json::to_string(value).unwrap()
+    }
+
+    /// The incremental encoding, checked against a full encode of the
+    /// same state.
+    fn assert_encodes_like_a_full_snapshot(registry: &ShardedRegistry) {
+        assert_eq!(
+            registry.encode_snapshot("", "", json),
+            json(&registry.snapshot())
+        );
+    }
+
+    fn is_cached(registry: &ShardedRegistry, session: u64) -> bool {
+        lock(registry.shard_of(session))
+            .get(&session)
+            .is_some_and(|slot| slot.piece.is_some())
+    }
+
+    /// A three-session registry whose every slot holds a piece.
+    fn encoded_registry(shard_count: usize) -> ShardedRegistry {
+        let registry = ShardedRegistry::new(5, config(), Pool::serial(), shard_count);
+        registry.open_batch(specs(), None).unwrap();
+        assert_encodes_like_a_full_snapshot(&registry);
+        assert!((0..3).all(|id| is_cached(&registry, id)));
+        registry
+    }
+
+    #[test]
+    fn encoded_snapshot_is_framed_and_matches_a_full_encode() {
+        let selector = GreedySelector::fast();
+        for shard_count in [1usize, 2, 8] {
+            let registry = ShardedRegistry::new(9, config(), Pool::serial(), shard_count);
+            assert_encodes_like_a_full_snapshot(&registry);
+            registry.open_batch(specs(), None).unwrap();
+            assert_encodes_like_a_full_snapshot(&registry);
+            for id in [2u64, 0, 1, 2] {
+                if let SelectOutcome::Round(round) = registry.select(id, &selector).unwrap() {
+                    assert_encodes_like_a_full_snapshot(&registry);
+                    let answers: Vec<(u64, bool)> =
+                        round.tasks.iter().map(|t| (t.id, true)).collect();
+                    registry.absorb(id, &answers[..1]).unwrap();
+                    assert_encodes_like_a_full_snapshot(&registry);
+                    registry.absorb(id, &answers).unwrap();
+                    assert_encodes_like_a_full_snapshot(&registry);
+                }
+            }
+            registry.evict(1).unwrap();
+            assert_encodes_like_a_full_snapshot(&registry);
+            let framed = registry.encode_snapshot("{\"registry\":", "}", json);
+            assert_eq!(
+                framed,
+                format!("{{\"registry\":{}}}", json(&registry.snapshot()))
+            );
+        }
+    }
+
+    #[test]
+    fn open_inserts_sessions_without_a_piece() {
+        let registry = encoded_registry(2);
+        registry.open_batch(vec![specs()[1].clone()], None).unwrap();
+        assert!(!is_cached(&registry, 3));
+        assert!((0..3).all(|id| is_cached(&registry, id)));
+        assert_encodes_like_a_full_snapshot(&registry);
+    }
+
+    #[test]
+    fn select_clears_the_piece() {
+        let registry = encoded_registry(2);
+        registry
+            .select_capped(1, &GreedySelector::fast(), Some(1))
+            .unwrap();
+        assert!(!is_cached(&registry, 1));
+        assert!(is_cached(&registry, 0) && is_cached(&registry, 2));
+        assert_encodes_like_a_full_snapshot(&registry);
+    }
+
+    #[test]
+    fn absorb_clears_the_piece() {
+        let registry = encoded_registry(2);
+        let SelectOutcome::Round(round) = registry.select(0, &GreedySelector::fast()).unwrap()
+        else {
+            panic!("session 0 has budget left");
+        };
+        registry.encode_snapshot("", "", json);
+        assert!(is_cached(&registry, 0));
+        registry.absorb(0, &[(round.tasks[0].id, false)]).unwrap();
+        assert!(!is_cached(&registry, 0));
+        assert!(is_cached(&registry, 1) && is_cached(&registry, 2));
+        assert_encodes_like_a_full_snapshot(&registry);
+    }
+
+    #[test]
+    fn evict_removes_the_piece_with_its_slot() {
+        let registry = encoded_registry(2);
+        registry.evict(2).unwrap();
+        assert!(lock(registry.shard_of(2)).get(&2).is_none());
+        assert!(is_cached(&registry, 0) && is_cached(&registry, 1));
+        assert_encodes_like_a_full_snapshot(&registry);
+    }
+
+    #[test]
+    fn restored_registries_start_without_pieces() {
+        let registry = encoded_registry(2);
+        let restored =
+            ShardedRegistry::from_snapshot(registry.snapshot(), Pool::serial(), 3).unwrap();
+        assert!((0..3).all(|id| !is_cached(&restored, id)));
+        assert_eq!(
+            restored.encode_snapshot("", "", json),
+            registry.encode_snapshot("", "", json)
+        );
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!
 //! **Invariant:** on-disk state always reconstructs in-memory state.
 //! Every mutation is journalled before it is applied; snapshots are
-//! written to a `.tmp` sibling, fsynced, renamed over the live file, and
-//! only *then* is the journal truncated. Each crash window therefore
-//! recovers:
+//! written to a `.tmp` sibling, fsynced, renamed over the live file, the
+//! directory is fsynced so the rename is durable, and only *then* is the
+//! journal truncated. Each crash window therefore recovers:
 //!
 //! * before the journal append — the effect never happened;
 //! * between append and apply — replay applies it (a journalled effect
@@ -27,12 +27,12 @@
 //! not reset at truncation), so a stale journal can never replay into a
 //! newer snapshot.
 
-use crate::fault::{FaultAction, FaultPlan, FaultPoint, SimulatedCrash};
+use crate::fault::FaultPlan;
 use crate::journal::{read_journal, JournalWriter, Record};
 use crate::sched::SchedSnapshot;
 use crowdfusion_core::session::{OpenedSession, RegistrySnapshot};
+use crowdfusion_core::shard::ShardedRegistry;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
-use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -86,7 +86,8 @@ pub struct CompletedOpen {
     pub sessions: Vec<OpenedSession>,
 }
 
-/// Everything a restarted daemon needs, as one JSON document.
+/// Everything a restarted daemon needs, as one JSON document. A live
+/// daemon writes it through [`encode_snapshot`]; this type reads it back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DurableSnapshot {
     /// Last journal sequence this snapshot covers; replay skips records
@@ -137,6 +138,29 @@ impl Deserialize for DurableSnapshot {
             },
         })
     }
+}
+
+/// The [`DurableSnapshot`] document of the given state, byte for byte
+/// what `protocol::encode` prints for it. The registry is encoded
+/// incrementally ([`crate::snapshot::encode_registry`]), so the cost
+/// scales with the sessions changed since its last encoding.
+pub fn encode_snapshot(
+    applied_seq: u64,
+    registry: &ShardedRegistry,
+    opens: &[CompletedOpen],
+    sched: Option<&SchedSnapshot>,
+) -> String {
+    use crate::protocol::encode;
+    // Field order and the omitted-when-absent `sched` follow the
+    // `Serialize` impl above.
+    let head = format!("{{\"applied_seq\":{applied_seq},\"registry\":");
+    let mut tail = format!(",\"opens\":{}", encode(&opens));
+    if let Some(sched) = sched {
+        tail.push_str(",\"sched\":");
+        tail.push_str(&encode(sched));
+    }
+    tail.push('}');
+    crate::snapshot::encode_registry(registry, &head, &tail)
 }
 
 /// What [`recover`] found on disk.
@@ -254,37 +278,19 @@ impl Durability {
         self.config.snapshot_every > 0 && self.since_snapshot >= self.config.snapshot_every
     }
 
-    /// Writes `snapshot` durably (tmp → fsync → rename) and truncates the
-    /// journal it supersedes. On any error the previous snapshot and the
-    /// journal are still intact — recovery works from them.
-    pub fn snapshot_now(&mut self, snapshot: &DurableSnapshot) -> io::Result<()> {
+    /// Writes the snapshot document `text` (see [`encode_snapshot`])
+    /// durably — tmp → fsync → rename → directory fsync — and truncates
+    /// the journal it supersedes. On any error the previous snapshot and
+    /// the journal are still intact — recovery works from them.
+    pub fn snapshot_now(&mut self, text: &str) -> io::Result<()> {
         // The journal must be durable before the snapshot claims to cover
         // it (a crash mid-snapshot falls back to snapshot' + journal).
         self.writer.sync()?;
-        let live = self.config.dir.join(SNAPSHOT_FILE);
-        let tmp = live.with_extension("tmp");
-        let text = crate::protocol::encode(snapshot);
-        match self.faults.check(FaultPoint::SnapshotWrite) {
-            None => std::fs::write(&tmp, &text)?,
-            Some(FaultAction::Crash) => {
-                return Err(SimulatedCrash {
-                    point: FaultPoint::SnapshotWrite,
-                }
-                .into())
-            }
-            Some(FaultAction::Torn { keep_bytes }) => {
-                let keep = keep_bytes.min(text.len());
-                std::fs::write(&tmp, &text.as_bytes()[..keep])?;
-                return Err(SimulatedCrash {
-                    point: FaultPoint::SnapshotWrite,
-                }
-                .into());
-            }
-            Some(other) => panic!("snapshot write cannot honour {other:?}"),
-        }
-        File::open(&tmp)?.sync_all()?;
-        self.faults.crash_if_scheduled(FaultPoint::SnapshotRename)?;
-        std::fs::rename(&tmp, &live)?;
+        crate::snapshot::write_atomic(
+            &self.config.dir.join(SNAPSHOT_FILE),
+            text.as_bytes(),
+            &self.faults,
+        )?;
         self.writer.truncate_all()?;
         self.since_snapshot = 0;
         Ok(())
@@ -304,6 +310,7 @@ impl Durability {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultAction, FaultPoint};
     use crate::journal::Effect;
     use crowdfusion_core::pool::Pool;
     use crowdfusion_core::round::RoundConfig;
@@ -338,6 +345,10 @@ mod tests {
             }],
             sched: None,
         }
+    }
+
+    fn sample_text(applied_seq: u64) -> String {
+        crate::protocol::encode(&sample_snapshot(applied_seq))
     }
 
     fn effect(n: u64) -> Effect {
@@ -381,7 +392,7 @@ mod tests {
             durable.journal(effect(n)).unwrap();
         }
         durable
-            .snapshot_now(&sample_snapshot(durable.last_seq()))
+            .snapshot_now(&sample_text(durable.last_seq()))
             .unwrap();
         durable.journal(effect(99)).unwrap();
 
@@ -410,7 +421,7 @@ mod tests {
             durable.journal(effect(n)).unwrap();
         }
         let err = durable
-            .snapshot_now(&sample_snapshot(durable.last_seq()))
+            .snapshot_now(&sample_text(durable.last_seq()))
             .unwrap_err();
         assert!(crate::fault::is_simulated_crash(&err));
         drop(durable); // process death
@@ -433,7 +444,9 @@ mod tests {
             Durability::open(DurabilityConfig::new(&dir), FaultPlan::none(), &recovery).unwrap();
         durable.journal(effect(0)).unwrap();
         let first = sample_snapshot(durable.last_seq());
-        durable.snapshot_now(&first).unwrap();
+        durable
+            .snapshot_now(&crate::protocol::encode(&first))
+            .unwrap();
         drop(durable);
 
         // Second incarnation tears its snapshot write mid-file.
@@ -446,7 +459,7 @@ mod tests {
         let mut durable = Durability::open(DurabilityConfig::new(&dir), plan, &recovery).unwrap();
         durable.journal(effect(1)).unwrap();
         let err = durable
-            .snapshot_now(&sample_snapshot(durable.last_seq()))
+            .snapshot_now(&sample_text(durable.last_seq()))
             .unwrap_err();
         assert!(crate::fault::is_simulated_crash(&err));
         drop(durable);
@@ -467,7 +480,9 @@ mod tests {
         let mut durable =
             Durability::open(DurabilityConfig::new(&dir), FaultPlan::none(), &recovery).unwrap();
         let first = sample_snapshot(0);
-        durable.snapshot_now(&first).unwrap();
+        durable
+            .snapshot_now(&crate::protocol::encode(&first))
+            .unwrap();
         drop(durable);
 
         let recovery = recover(&dir).unwrap();
@@ -475,7 +490,7 @@ mod tests {
         let mut durable = Durability::open(DurabilityConfig::new(&dir), plan, &recovery).unwrap();
         durable.journal(effect(7)).unwrap();
         let err = durable
-            .snapshot_now(&sample_snapshot(durable.last_seq()))
+            .snapshot_now(&sample_text(durable.last_seq()))
             .unwrap_err();
         assert!(crate::fault::is_simulated_crash(&err));
         drop(durable);

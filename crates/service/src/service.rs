@@ -53,12 +53,12 @@
 
 use crate::clock::{Clock, Tick};
 use crate::durable::{
-    recover, CompletedOpen, Durability, DurabilityConfig, DurableSnapshot, Recovery,
+    encode_snapshot, recover, CompletedOpen, Durability, DurabilityConfig, Recovery,
 };
 use crate::fault::{as_simulated_crash, FaultPlan, FaultPoint, SimulatedCrash};
 use crate::journal::Effect;
 use crate::protocol::{Request, Response};
-use crate::sched::{BudgetMode, SchedSnapshot, SchedState};
+use crate::sched::{BudgetMode, SchedState};
 use crate::snapshot;
 use crowdfusion_core::pool::Pool;
 use crowdfusion_core::round::RoundConfig;
@@ -434,13 +434,13 @@ impl Service {
                 // Compact: one fresh snapshot covering everything just
                 // recovered, so the journal restarts empty and a torn
                 // tail (already dropped by recovery) is truncated away.
-                let snapshot = DurableSnapshot {
-                    applied_seq: durable.last_seq(),
-                    registry: registry.snapshot(),
-                    opens: ledger_snapshot(&opens),
-                    sched: sched.as_ref().map(SchedState::snapshot),
-                };
-                durable.snapshot_now(&snapshot)?;
+                let text = encode_snapshot(
+                    durable.last_seq(),
+                    &registry,
+                    &ledger_snapshot(&opens),
+                    sched.as_ref().map(SchedState::snapshot).as_ref(),
+                );
+                durable.snapshot_now(&text)?;
                 (registry, Some(durable))
             }
         };
@@ -617,11 +617,18 @@ impl Service {
         &self.shard_order[(session % self.shard_order.len() as u64) as usize]
     }
 
-    /// The scheduler's durable form, for snapshot assembly (`None` in
+    /// The durable snapshot document of the daemon's current state, as
+    /// covering `applied_seq`. The scheduler part is absent in
     /// per-session mode, keeping those snapshots byte-identical to the
-    /// pre-scheduler format).
-    fn sched_snapshot(&self) -> Option<SchedSnapshot> {
-        lease(&self.sched).as_ref().map(SchedState::snapshot)
+    /// pre-scheduler format.
+    fn snapshot_text(&self, registry: &ShardedRegistry, applied_seq: u64) -> String {
+        let sched = lease(&self.sched).as_ref().map(SchedState::snapshot);
+        encode_snapshot(
+            applied_seq,
+            registry,
+            &ledger_snapshot(&self.opens),
+            sched.as_ref(),
+        )
     }
 
     /// Recomputes one session's marginal gain against the registry and
@@ -701,14 +708,9 @@ impl Service {
         let Some(durable) = durable.as_mut() else {
             return Ok(());
         };
-        let snapshot = DurableSnapshot {
-            applied_seq: durable.last_seq(),
-            registry: registry.snapshot(),
-            opens: ledger_snapshot(&self.opens),
-            sched: self.sched_snapshot(),
-        };
+        let text = self.snapshot_text(&registry, durable.last_seq());
         durable
-            .snapshot_now(&snapshot)
+            .snapshot_now(&text)
             .map_err(|e| io_fail(e, "write the auto-snapshot"))
     }
 
@@ -1030,16 +1032,19 @@ impl Service {
                 crate::protocol::unsupported_version(v)
             });
         }
-        // The client-directed snapshot export serialises and writes
-        // *outside* the registry guard so a large export never stalls
-        // other connections' traffic — the guard is held only for the
-        // clone.
+        // The client-directed snapshot export writes *outside* the
+        // registry guard so a large export never stalls other
+        // connections' traffic — the guard is held only for the
+        // (incremental) encode.
         if let Request::Snapshot { path } = request {
             let resolved = self.resolve_snapshot_path(&path).map_err(Fail::Msg)?;
             self.sweep_ttl()?;
-            let snap = lease_read(&self.registry).snapshot();
-            let sessions = snap.sessions.len() as u64;
-            snapshot::save(&snap, &resolved)
+            let (text, sessions) = {
+                let registry = lease_read(&self.registry);
+                let text = snapshot::encode_registry(&registry, "", "");
+                (text, registry.len() as u64)
+            };
+            snapshot::save(&text, &resolved)
                 .map_err(|e| Fail::Msg(format!("cannot write snapshot {path}: {e}")))?;
             return Ok(Response::Snapshotted { path, sessions });
         }
@@ -1099,16 +1104,12 @@ impl Service {
             }
             // Durability barrier: the restore replaces history, so the
             // restored state becomes the new recovery base at once.
+            // The ledger was cleared above, so the snapshot carries none.
             let mut durable = lease(&self.durable);
             if let Some(durable) = durable.as_mut() {
-                let snapshot = DurableSnapshot {
-                    applied_seq: durable.last_seq(),
-                    registry: registry.snapshot(),
-                    opens: Vec::new(),
-                    sched: self.sched_snapshot(),
-                };
+                let text = self.snapshot_text(&registry, durable.last_seq());
                 durable
-                    .snapshot_now(&snapshot)
+                    .snapshot_now(&text)
                     .map_err(|e| io_fail(e, "persist the restored state"))?;
             }
             return Ok(Response::Restored { path, sessions });
@@ -1356,13 +1357,8 @@ impl Service {
                 let registry = lease_write(&self.registry);
                 let mut durable = lease(&self.durable);
                 if let Some(durable) = durable.as_mut() {
-                    let snapshot = DurableSnapshot {
-                        applied_seq: durable.last_seq(),
-                        registry: registry.snapshot(),
-                        opens: ledger_snapshot(&self.opens),
-                        sched: self.sched_snapshot(),
-                    };
-                    if let Err(e) = durable.snapshot_now(&snapshot) {
+                    let text = self.snapshot_text(&registry, durable.last_seq());
+                    if let Err(e) = durable.snapshot_now(&text) {
                         if let Some(crash) = as_simulated_crash(&e) {
                             return Err(Fail::Crash(crash));
                         }

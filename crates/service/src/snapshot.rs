@@ -4,20 +4,66 @@
 //! posteriors, budget ledgers, selector RNG states, partially answered
 //! open rounds and the master RNG state — so a restarted daemon continues
 //! every session mid-round, and future `open`s continue the same seed
-//! schedule. Writes go through a `.tmp` sibling plus rename, so a crash
-//! mid-write never clobbers the previous good snapshot.
+//! schedule. Every snapshot file, exported or durable, is written by
+//! [`write_atomic`], so a crash or power cut mid-write never clobbers the
+//! previous good snapshot.
 
+use crate::fault::{FaultAction, FaultPlan, FaultPoint, SimulatedCrash};
 use crowdfusion_core::session::RegistrySnapshot;
+use crowdfusion_core::shard::ShardedRegistry;
+use std::fs::File;
 use std::io;
 use std::path::Path;
 
-/// Writes a registry snapshot atomically (`path.tmp` then rename).
-pub fn save(snapshot: &RegistrySnapshot, path: &Path) -> io::Result<()> {
-    let text = serde_json::to_string(snapshot)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+/// The registry snapshot document, exactly as
+/// `protocol::encode(&registry.snapshot())` would print it, framed by
+/// `head` and `tail`. Re-encodes only the sessions changed since the
+/// registry was last encoded (see [`ShardedRegistry::encode_snapshot`]).
+pub fn encode_registry(registry: &ShardedRegistry, head: &str, tail: &str) -> String {
+    registry.encode_snapshot(head, tail, |value| crate::protocol::encode(&value))
+}
+
+/// Writes a registry snapshot document atomically and durably.
+pub fn save(text: &str, path: &Path) -> io::Result<()> {
+    write_atomic(path, text.as_bytes(), &FaultPlan::none())
+}
+
+/// The repository's one atomic-file writer: `path.tmp` is written and
+/// fsynced, renamed over `path`, and then the directory is fsynced so the
+/// rename itself is durable before the caller acts on it (a durable
+/// snapshot truncates the journal next). On any error the previous file
+/// at `path` is untouched.
+///
+/// `faults` may crash or tear the tmp write ([`FaultPoint::SnapshotWrite`])
+/// or crash before the rename ([`FaultPoint::SnapshotRename`]).
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8], faults: &FaultPlan) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
+    match faults.check(FaultPoint::SnapshotWrite) {
+        None => std::fs::write(&tmp, bytes)?,
+        Some(FaultAction::Crash) => {
+            return Err(SimulatedCrash {
+                point: FaultPoint::SnapshotWrite,
+            }
+            .into())
+        }
+        Some(FaultAction::Torn { keep_bytes }) => {
+            let keep = keep_bytes.min(bytes.len());
+            std::fs::write(&tmp, &bytes[..keep])?;
+            return Err(SimulatedCrash {
+                point: FaultPoint::SnapshotWrite,
+            }
+            .into());
+        }
+        Some(other) => panic!("snapshot write cannot honour {other:?}"),
+    }
+    File::open(&tmp)?.sync_all()?;
+    faults.crash_if_scheduled(FaultPoint::SnapshotRename)?;
+    std::fs::rename(&tmp, path)?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
 }
 
 /// Reads a registry snapshot.
@@ -31,12 +77,12 @@ mod tests {
     use super::*;
     use crowdfusion_core::pool::Pool;
     use crowdfusion_core::round::RoundConfig;
-    use crowdfusion_core::session::{EntitySpec, SessionRegistry};
+    use crowdfusion_core::session::EntitySpec;
 
     #[test]
     fn snapshot_file_roundtrips() {
         let config = RoundConfig::new(2, 6, 0.8).unwrap();
-        let mut reg = SessionRegistry::new(1, config, Pool::serial());
+        let reg = ShardedRegistry::new(1, config, Pool::serial(), 2);
         reg.open_batch(
             vec![EntitySpec::simple("b", vec![0.4, 0.6], vec![true, false])],
             None,
@@ -46,7 +92,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.json");
         let snap = reg.snapshot();
-        save(&snap, &path).unwrap();
+        save(&encode_registry(&reg, "", ""), &path).unwrap();
         let loaded = load(&path).unwrap();
         assert_eq!(loaded, snap);
         // The tmp sibling does not linger.
